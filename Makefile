@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt linkcheck flagcheck bench bench-query bench-federation bench-wire bench-tiers bench-failover bench-models bench-smoke fuzz-smoke test-durable test-federation test-failover test-models ci
+.PHONY: all build test race vet fmt linkcheck flagcheck bench bench-query bench-federation bench-wire bench-tiers bench-failover bench-models bench-smoke fuzz-smoke perfbench-test test-durable test-federation test-failover test-models ci
 
 all: build
 
@@ -75,12 +75,19 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkTiers' -benchtime 1x ./internal/server
 	$(GO) test -run '^$$' -bench '^BenchmarkFailover' -benchtime 1x ./internal/federation
 	$(GO) test -run '^$$' -bench '^BenchmarkModels' -benchtime 1x ./internal/models
+	$(GO) test -run '^$$' -bench '^BenchmarkStoreAppend' -benchtime 1x ./internal/durable
 
-# fuzz-smoke runs the wire-frame decoder fuzzer briefly: long enough to
-# exercise the mutation engine over the checked-in corpus, short enough
-# for CI.
+# fuzz-smoke runs the wire-frame and journal decoder fuzzers briefly: long
+# enough to exercise the mutation engine over the checked-in corpora,
+# short enough for CI.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/wire
+	$(GO) test -run '^$$' -fuzz FuzzDecodeJournal -fuzztime 10s ./internal/durable
+
+# perfbench-test runs the repository benchmark's own unit tests (its
+# statistics and record arithmetic); perfbench is a separate module.
+perfbench-test:
+	cd perfbench && $(GO) test .
 
 # test-durable runs the durability suite under the race detector: the
 # crash/fault-injection property tests, the server recovery tests, and the
@@ -110,4 +117,4 @@ test-models:
 	$(GO) test -race -count=1 ./internal/models/ ./internal/drift/
 	$(GO) test -race -count=1 -run 'TTBS|RTBS|NewSampler|Model' ./internal/core/ ./internal/server/ ./internal/client/
 
-ci: fmt build vet linkcheck flagcheck test race bench-smoke fuzz-smoke test-durable test-federation test-failover test-models
+ci: fmt build vet linkcheck flagcheck test race bench-smoke fuzz-smoke perfbench-test test-durable test-federation test-failover test-models

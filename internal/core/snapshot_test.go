@@ -180,7 +180,12 @@ func TestSnapshotHammer(t *testing.T) {
 	s := NewSynchronized(b)
 
 	const writers, batches, batchLen = 4, 200, 25
-	var next atomic.Uint64
+	// Claiming an index range and applying it happen under one lock, so
+	// batches reach the sampler in index order and every resident's Index
+	// is within the arrival count T, as in a real stream. Without it a
+	// later range could land first and T would trail a resident's Index.
+	var claim sync.Mutex
+	var next uint64
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < writers; w++ {
@@ -188,13 +193,16 @@ func TestSnapshotHammer(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < batches; i++ {
-				base := next.Add(batchLen) - batchLen
+				claim.Lock()
+				base := next
+				next += batchLen
 				pts := make([]stream.Point, batchLen)
 				for j := range pts {
 					idx := base + uint64(j) + 1
 					pts[j] = stream.Point{Index: idx, Values: []float64{float64(idx)}, Weight: 1}
 				}
 				s.AddBatch(pts)
+				claim.Unlock()
 			}
 		}()
 	}

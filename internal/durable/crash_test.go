@@ -22,7 +22,7 @@ func crashWorkload(t *testing.T, fs FS, dir string) (applied, floor uint64) {
 	}
 	const rounds = 12
 	for i := uint64(1); i <= rounds; i++ {
-		if err := st.Append("s", makeOps(i-1, 1)); err != nil {
+		if err := st.Append("s", makePoints(i-1, 1), nil); err != nil {
 			return applied, floor
 		}
 		applied = i
@@ -172,7 +172,7 @@ func TestCrashMidIngestTornWrite(t *testing.T) {
 	if err := st.Attach("s", Checkpoint{Seq: 1, Meta: StreamMeta{Name: "s"}, Snapshot: countSnapshot(0)}); err != nil {
 		t.Fatalf("Attach: %v", err)
 	}
-	if err := st.Append("s", makeOps(0, 2)); err != nil {
+	if err := st.Append("s", makePoints(0, 2), nil); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
 	if err := st.Sync(); err != nil {
@@ -181,7 +181,7 @@ func TestCrashMidIngestTornWrite(t *testing.T) {
 	// Force the journal's current bytes durable, then crash on the very
 	// next mutating op: the append's Write tears mid-frame.
 	fs.CrashAt(1)
-	err = st.Append("s", makeOps(2, 1))
+	err = st.Append("s", makePoints(2, 1), nil)
 	if err == nil {
 		t.Fatal("append during crash succeeded")
 	}

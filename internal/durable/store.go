@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"biasedres/internal/obs"
+	"biasedres/internal/stream"
 )
 
 // Store owns one data directory and the per-stream checkpoint/journal
@@ -23,8 +24,9 @@ import (
 // Lifecycle per stream:
 //
 //	Attach    write checkpoint <seq>, open journal <seq>   (create/recover)
-//	Append    frame ops onto the active journal            (every applied batch)
-//	Sync      fsync journals with unsynced appends         (coalescing loop)
+//	Append    frame a batch onto the active journal        (every applied batch)
+//	Sync      fsync journals with unsynced appends         (coalescing loop,
+//	          outside the append lock)
 //	Rotate    open journal <seq+1>; appends go there       (under the sampler lock)
 //	WriteCheckpoint  write checkpoint <seq+1>, prune       (outside all locks)
 //	Remove    drop every file                              (stream deletion)
@@ -47,13 +49,18 @@ type Store struct {
 	writeErrors    atomic.Uint64
 }
 
-// streamChain is one stream's persistence state.
+// streamChain is one stream's persistence state. mu guards the fields;
+// syncMu is held by every path that fsyncs, replaces or closes the journal,
+// so Sync can fsync outside mu without racing a close. Lock order:
+// Store.mu, then syncMu, then mu.
 type streamChain struct {
+	syncMu   sync.Mutex
 	mu       sync.Mutex
 	name     string
 	seq      uint64 // base sequence of the active journal
 	journal  File
-	dirty    bool // journal has appends not yet fsynced
+	dirty    bool   // journal has appends not yet fsynced
+	buf      []byte // record encoding buffer, reused across appends
 	lastCkpt time.Time
 }
 
@@ -136,19 +143,29 @@ func (s *Store) chain(name string) *streamChain {
 	return c
 }
 
-// writeCheckpointFile writes ck's bytes crash-safely: temp file, fsync,
-// atomic rename over the final name, directory fsync.
+// writeCheckpointFile writes ck's bytes crash-safely.
 func (s *Store) writeCheckpointFile(name string, ck Checkpoint) error {
 	data, err := encodeCheckpoint(ck)
 	if err != nil {
 		return err
 	}
-	final := s.ckptPath(name, ck.Seq)
-	tmp := final + ".tmp"
-	f, err := s.fs.Create(tmp)
+	return writeAtomic(s.fs, s.ckptPath(name, ck.Seq), data)
+}
+
+// writeAtomic publishes data at p crash-safely: temp file, fsync, atomic
+// rename over the final name, directory fsync. A failure removes the temp
+// file (best effort; recovery deletes leftovers too).
+func writeAtomic(fs FS, p string, data []byte) (err error) {
+	tmp := p + ".tmp"
+	f, err := fs.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("durable: creating %s: %w", tmp, err)
 	}
+	defer func() {
+		if err != nil {
+			_ = fs.Remove(tmp) // best effort; recovery deletes leftover temp files
+		}
+	}()
 	if _, err := f.Write(data); err != nil {
 		f.Close()
 		return fmt.Errorf("durable: writing %s: %w", tmp, err)
@@ -160,11 +177,11 @@ func (s *Store) writeCheckpointFile(name string, ck Checkpoint) error {
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("durable: closing %s: %w", tmp, err)
 	}
-	if err := s.fs.Rename(tmp, final); err != nil {
-		return fmt.Errorf("durable: publishing %s: %w", final, err)
+	if err := fs.Rename(tmp, p); err != nil {
+		return fmt.Errorf("durable: publishing %s: %w", p, err)
 	}
-	if err := s.fs.SyncDir(s.dir); err != nil {
-		return fmt.Errorf("durable: syncing data dir: %w", err)
+	if err := fs.SyncDir(filepath.Dir(p)); err != nil {
+		return fmt.Errorf("durable: syncing directory of %s: %w", p, err)
 	}
 	return nil
 }
@@ -198,6 +215,8 @@ func (s *Store) openJournal(name string, seq uint64) (File, error) {
 // a stream is created (Seq 1) and after recovery rebaselines a stream.
 func (s *Store) Attach(name string, ck Checkpoint) error {
 	c := s.chain(name)
+	c.syncMu.Lock()
+	defer c.syncMu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := s.writeCheckpointFile(name, ck); err != nil {
@@ -221,22 +240,28 @@ func (s *Store) Attach(name string, ck Checkpoint) error {
 	return nil
 }
 
-// Append frames ops onto the stream's active journal. The bytes reach the
-// OS immediately but are only fsynced by the next Sync call — the
+// Append frames one applied batch onto the stream's active journal,
+// encoding straight from the points into the chain's reused buffer. ts,
+// when non-nil, holds each point's explicit timestamp, NaN where it has
+// none (time-decay streams replay those through AddAt). The bytes reach
+// the OS immediately but are only fsynced by the next Sync call — the
 // coalescing that bounds loss after a hard kill to the sync interval.
-func (s *Store) Append(name string, ops []Op) error {
-	if len(ops) == 0 {
+func (s *Store) Append(name string, pts []stream.Point, ts []float64) error {
+	if len(pts) == 0 {
 		return nil
-	}
-	data, err := encodeRecord(Record{Ops: ops})
-	if err != nil {
-		return err
 	}
 	c := s.chain(name)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.journal == nil {
 		return fmt.Errorf("durable: stream %q has no active journal", name)
+	}
+	data, err := appendRecord(c.buf[:0], pts, ts)
+	if err != nil {
+		return err
+	}
+	if cap(data) <= 1<<20 { // one huge batch must not pin its buffer
+		c.buf = data
 	}
 	if _, err := c.journal.Write(data); err != nil {
 		s.writeErrors.Add(1)
@@ -258,20 +283,51 @@ func (s *Store) Sync() error {
 	s.mu.Unlock()
 	var firstErr error
 	for _, c := range chains {
-		c.mu.Lock()
-		if c.dirty && c.journal != nil {
-			if err := c.journal.Sync(); err != nil {
-				s.writeErrors.Add(1)
-				if firstErr == nil {
-					firstErr = fmt.Errorf("durable: syncing journal of %q: %w", c.name, err)
-				}
-			} else {
-				c.dirty = false
+		if err := c.sync(); err != nil {
+			s.writeErrors.Add(1)
+			if firstErr == nil {
+				firstErr = fmt.Errorf("durable: syncing journal of %q: %w", c.name, err)
 			}
 		}
-		c.mu.Unlock()
 	}
 	return firstErr
+}
+
+// sync fsyncs the chain's journal if it has unsynced appends. The handle
+// and dirty bit are snapshotted under mu and the fsync runs outside it,
+// so appends proceed while it is in flight; everything appended before
+// the snapshot is durable when sync returns. A failed fsync re-marks the
+// journal dirty so the next sync retries.
+func (c *streamChain) sync() error {
+	c.syncMu.Lock()
+	defer c.syncMu.Unlock()
+	c.mu.Lock()
+	j, dirty := c.journal, c.dirty
+	c.dirty = false
+	c.mu.Unlock()
+	if !dirty || j == nil {
+		return nil
+	}
+	err := j.Sync()
+	if err != nil {
+		c.mu.Lock()
+		c.dirty = true
+		c.mu.Unlock()
+	}
+	return err
+}
+
+// closeJournal closes and detaches the chain's journal, waiting out any
+// in-flight sync first.
+func (c *streamChain) closeJournal() {
+	c.syncMu.Lock()
+	defer c.syncMu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.journal != nil {
+		c.journal.Close()
+		c.journal = nil
+	}
 }
 
 // Rotate cuts the stream's journal: appends after Rotate land in the
@@ -285,6 +341,8 @@ func (s *Store) Sync() error {
 // the upcoming checkpoint write fails.
 func (s *Store) Rotate(name string) (uint64, error) {
 	c := s.chain(name)
+	c.syncMu.Lock()
+	defer c.syncMu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.journal == nil {
@@ -373,12 +431,7 @@ func (s *Store) Remove(name string) error {
 	delete(s.streams, name)
 	s.mu.Unlock()
 	if ok {
-		c.mu.Lock()
-		if c.journal != nil {
-			c.journal.Close()
-			c.journal = nil
-		}
-		c.mu.Unlock()
+		c.closeJournal()
 	}
 	entries, err := s.fs.ReadDir(s.dir)
 	if err != nil {
@@ -399,12 +452,7 @@ func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, c := range s.streams {
-		c.mu.Lock()
-		if c.journal != nil {
-			c.journal.Close()
-			c.journal = nil
-		}
-		c.mu.Unlock()
+		c.closeJournal()
 	}
 	return err
 }
@@ -587,12 +635,7 @@ func (s *Store) quarantineSeq(name string, seq uint64, kind string) {
 func (s *Store) QuarantineStream(name string) {
 	s.mu.Lock()
 	if c, ok := s.streams[name]; ok {
-		c.mu.Lock()
-		if c.journal != nil {
-			c.journal.Close()
-			c.journal = nil
-		}
-		c.mu.Unlock()
+		c.closeJournal()
 		delete(s.streams, name)
 	}
 	s.mu.Unlock()

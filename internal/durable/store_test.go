@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"biasedres/internal/stream"
 )
 
 // countSnapshot is the fake sampler snapshot the store tests use: 8 bytes
@@ -23,16 +25,16 @@ func snapshotCount(t *testing.T, blob []byte) uint64 {
 	return binary.LittleEndian.Uint64(blob)
 }
 
-// makeOps returns n ops whose point values continue the sequence after
-// `from`: op i carries value from+i+1. Recovery assertions rebuild the
+// makePoints returns n points whose values continue the sequence after
+// `from`: point i carries value from+i+1. Recovery assertions rebuild the
 // applied prefix from these values.
-func makeOps(from uint64, n int) []Op {
-	ops := make([]Op, n)
-	for i := range ops {
+func makePoints(from uint64, n int) []stream.Point {
+	pts := make([]stream.Point, n)
+	for i := range pts {
 		v := from + uint64(i) + 1
-		ops[i] = opWithValue(float64(v))
+		pts[i] = opWithValue(float64(v)).P
 	}
-	return ops
+	return pts
 }
 
 // tailCount verifies rec's journal tail is the exact op sequence following
@@ -113,7 +115,7 @@ func buildChain(t *testing.T, fs FS, dir, name string) *Store {
 	if err := st.Attach(name, Checkpoint{Seq: 1, Meta: StreamMeta{Name: name}, Snapshot: countSnapshot(0)}); err != nil {
 		t.Fatalf("Attach: %v", err)
 	}
-	if err := st.Append(name, makeOps(0, 3)); err != nil {
+	if err := st.Append(name, makePoints(0, 3), nil); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
 	if err := st.Sync(); err != nil {
@@ -129,7 +131,7 @@ func buildChain(t *testing.T, fs FS, dir, name string) *Store {
 	if err := st.WriteCheckpoint(name, Checkpoint{Seq: seq, Meta: StreamMeta{Name: name}, Next: 3, Snapshot: countSnapshot(3)}); err != nil {
 		t.Fatalf("WriteCheckpoint: %v", err)
 	}
-	if err := st.Append(name, makeOps(3, 2)); err != nil {
+	if err := st.Append(name, makePoints(3, 2), nil); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
 	if err := st.Sync(); err != nil {
@@ -174,7 +176,7 @@ func TestStoreRecoverLifecycle(t *testing.T) {
 		if err := st2.Attach("sensor", Checkpoint{Seq: rec.MaxSeq + 1, Meta: StreamMeta{Name: "sensor"}, Next: 5, Snapshot: countSnapshot(5)}); err != nil {
 			t.Fatalf("rebaseline Attach: %v", err)
 		}
-		if err := st2.Append("sensor", makeOps(5, 1)); err != nil {
+		if err := st2.Append("sensor", makePoints(5, 1), nil); err != nil {
 			t.Fatalf("Append after rebaseline: %v", err)
 		}
 		if err := st2.Close(); err != nil {
@@ -287,7 +289,7 @@ func TestRecoverStopsAtJournalGap(t *testing.T) {
 		if _, err := st.Rotate("sensor"); err != nil {
 			t.Fatalf("Rotate: %v", err)
 		}
-		if err := st.Append("sensor", makeOps(5, 2)); err != nil {
+		if err := st.Append("sensor", makePoints(5, 2), nil); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 		if err := st.Close(); err != nil {

@@ -1,13 +1,8 @@
 package durable
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"path"
 )
 
 // Transfer encoding: one stream's whole durable chain — a checkpoint plus
@@ -51,80 +46,27 @@ type transferPayload struct {
 
 // EncodeTransfer renders t into its self-verifying blob.
 func EncodeTransfer(t Transfer) ([]byte, error) {
-	var payload bytes.Buffer
-	p := transferPayload{Checkpoint: checkpointPayload(t.Checkpoint), Tail: t.Tail}
-	if err := gob.NewEncoder(&payload).Encode(p); err != nil {
-		return nil, fmt.Errorf("durable: encoding transfer: %w", err)
-	}
-	buf := make([]byte, 0, 20+payload.Len())
-	buf = append(buf, transferMagic[:]...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload.Bytes(), castagnoli))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(payload.Len()))
-	return append(buf, payload.Bytes()...), nil
+	return sealGob(transferMagic, "transfer", transferPayload{Checkpoint: checkpointPayload(t.Checkpoint), Tail: t.Tail})
 }
 
 // DecodeTransfer parses and verifies a transfer blob. Structural failures
 // (bad magic, CRC mismatch, truncation) return errCorrupt-wrapped errors.
 func DecodeTransfer(data []byte) (Transfer, error) {
-	if len(data) < 20 {
-		return Transfer{}, fmt.Errorf("%w: transfer header truncated at %d bytes", errCorrupt, len(data))
-	}
-	if !bytes.Equal(data[:8], transferMagic[:]) {
-		return Transfer{}, fmt.Errorf("%w: bad transfer magic %q", errCorrupt, data[:8])
-	}
-	sum := binary.LittleEndian.Uint32(data[8:12])
-	n := binary.LittleEndian.Uint64(data[12:20])
-	if uint64(len(data)-20) != n {
-		return Transfer{}, fmt.Errorf("%w: transfer payload is %d bytes, header says %d",
-			errCorrupt, len(data)-20, n)
-	}
-	payload := data[20:]
-	if crc32.Checksum(payload, castagnoli) != sum {
-		return Transfer{}, fmt.Errorf("%w: transfer checksum mismatch", errCorrupt)
-	}
 	var p transferPayload
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&p); err != nil {
-		return Transfer{}, fmt.Errorf("%w: decoding transfer payload: %v", errCorrupt, err)
-	}
-	return Transfer{Checkpoint: Checkpoint(p.Checkpoint), Tail: p.Tail}, nil
+	err := openGob(transferMagic, "transfer", data, &p)
+	return Transfer{Checkpoint: Checkpoint(p.Checkpoint), Tail: p.Tail}, err
 }
 
-// WriteTransfer persists a transfer blob crash-safely through fs: write
-// to a temp name, sync, rename into place, sync the directory — the same
-// discipline checkpoint files get, so a fault mid-write leaves either the
-// old file or the new one, never a torn blob under the final name.
+// WriteTransfer persists a transfer blob crash-safely through fs, with the
+// same temp file, fsync, rename and directory fsync discipline checkpoint
+// files get, so a fault mid-write leaves either the old file or the new
+// one, never a torn blob under the final name.
 func WriteTransfer(fs FS, p string, t Transfer) error {
 	blob, err := EncodeTransfer(t)
 	if err != nil {
 		return err
 	}
-	tmp := p + ".tmp"
-	f, err := fs.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("durable: creating transfer file: %w", err)
-	}
-	if _, err := f.Write(blob); err != nil {
-		f.Close()
-		fs.Remove(tmp)
-		return fmt.Errorf("durable: writing transfer file: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fs.Remove(tmp)
-		return fmt.Errorf("durable: syncing transfer file: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		fs.Remove(tmp)
-		return fmt.Errorf("durable: closing transfer file: %w", err)
-	}
-	if err := fs.Rename(tmp, p); err != nil {
-		fs.Remove(tmp)
-		return fmt.Errorf("durable: publishing transfer file: %w", err)
-	}
-	if err := fs.SyncDir(path.Dir(p)); err != nil {
-		return fmt.Errorf("durable: syncing transfer dir: %w", err)
-	}
-	return nil
+	return writeAtomic(fs, p, blob)
 }
 
 // ReadTransfer loads and verifies a transfer blob previously written with

@@ -175,14 +175,20 @@ func (v *vec) child(values []string, mk func() any) any {
 	return c
 }
 
-// snapshot returns the children sorted by label values for deterministic
-// rendering.
-func (v *vec) snapshot() (keys []string, values map[string][]string, children map[string]any) {
+// snapshot returns the children and their label values, sorted by label
+// values for deterministic rendering. Both are copied under the read lock:
+// rendering runs after it is released, while child may add label sets.
+func (v *vec) snapshot() (values [][]string, children []any) {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	keys = append([]string(nil), v.order...)
+	keys := append([]string(nil), v.order...)
 	sort.Strings(keys)
-	return keys, v.values, v.children
+	values = make([][]string, len(keys))
+	children = make([]any, len(keys))
+	for i, k := range keys {
+		values[i], children[i] = v.values[k], v.children[k]
+	}
+	return values, children
 }
 
 // labelPairs formats the {k="v",...} block; empty when there are no labels.
@@ -367,25 +373,25 @@ func (r *Registry) WriteText(w *strings.Builder) {
 
 	for _, v := range counters {
 		writeHeader(w, v.name, v.help, "counter")
-		keys, values, children := v.snapshot()
-		for _, k := range keys {
-			c := children[k].(*Counter)
+		values, children := v.snapshot()
+		for k, child := range children {
+			c := child.(*Counter)
 			fmt.Fprintf(w, "%s%s %d\n", v.name, labelPairs(v.labels, values[k]), c.Value())
 		}
 	}
 	for _, v := range gauges {
 		writeHeader(w, v.name, v.help, "gauge")
-		keys, values, children := v.snapshot()
-		for _, k := range keys {
-			g := children[k].(*Gauge)
+		values, children := v.snapshot()
+		for k, child := range children {
+			g := child.(*Gauge)
 			fmt.Fprintf(w, "%s%s %s\n", v.name, labelPairs(v.labels, values[k]), formatValue(g.Value()))
 		}
 	}
 	for _, v := range histograms {
 		writeHeader(w, v.name, v.help, "histogram")
-		keys, values, children := v.snapshot()
-		for _, k := range keys {
-			h := children[k].(*Histogram)
+		values, children := v.snapshot()
+		for k, child := range children {
+			h := child.(*Histogram)
 			var cum uint64
 			for i, bound := range h.bounds {
 				cum += h.counts[i].Load()

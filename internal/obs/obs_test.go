@@ -281,3 +281,43 @@ func TestConcurrentInstrumentUse(t *testing.T) {
 		t.Fatalf("lost increments: %d", total)
 	}
 }
+
+// TestWriteTextWhileCreatingLabelSets renders the registry while new label
+// sets are being created on every instrument kind. WriteText must not read
+// a vector's live maps after releasing its lock. Run with -race.
+func TestWriteTextWhileCreatingLabelSets(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("new_total", "", "id")
+	g := r.Gauge("new_gauge", "", "id")
+	h := r.Histogram("new_seconds", "", []float64{1}, "id")
+	const perWorker = 300
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				id := fmt.Sprintf("w%d-%d", w, i)
+				c.With(id).Inc()
+				g.With(id).Set(1)
+				h.With(id).Observe(0.5)
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	for rendering := true; rendering; {
+		select {
+		case <-done:
+			rendering = false
+		default:
+			_ = r.Expose()
+		}
+	}
+	if n := strings.Count(r.Expose(), "new_total{"); n != 2*perWorker {
+		t.Fatalf("rendered %d counter series, want %d", n, 2*perWorker)
+	}
+}

@@ -95,24 +95,17 @@ func createRequestOf(meta durable.StreamMeta) CreateRequest {
 	}
 }
 
-// journalOps converts an applied batch into journal ops.
-func journalOps(batch []stream.Point) []durable.Op {
-	ops := make([]durable.Op, len(batch))
-	for i, p := range batch {
-		ops[i] = durable.Op{P: p}
-	}
-	return ops
-}
-
-// appendJournal frames one applied batch onto the stream's journal. Called
-// on the apply paths (sync handler, shard worker) while ms.mu is held, so
-// journal order matches apply order. Failures degrade durability, not
-// availability: they are logged and counted, and ingest continues.
-func (s *Server) appendJournal(name string, ops []durable.Op) {
-	if s.durable == nil || len(ops) == 0 {
+// appendJournal frames one applied batch onto the stream's journal; ts
+// carries the explicit timestamps of time-decay HTTP ingest, NaN where a
+// point has none (nil elsewhere). Called on the apply paths (sync
+// handler, wire sink, shard worker) while ms.mu is held, so journal order
+// matches apply order. Failures degrade durability, not availability:
+// they are logged and counted, and ingest continues.
+func (s *Server) appendJournal(name string, batch []stream.Point, ts []float64) {
+	if s.durable == nil {
 		return
 	}
-	if err := s.durable.Append(name, ops); err != nil {
+	if err := s.durable.Append(name, batch, ts); err != nil {
 		if s.log != nil {
 			s.log.Warn("journal append failed", "stream", name, "error", err)
 		}
@@ -294,61 +287,61 @@ func (s *Server) recoverDurable() error {
 	return nil
 }
 
-// adoptRecovered turns one recovered chain into a live managed stream and
-// rebaselines it with a fresh checkpoint above every on-disk sequence.
-func (s *Server) adoptRecovered(rec durable.Recovered) error {
-	name := rec.Checkpoint.Meta.Name
-	req := createRequestOf(rec.Checkpoint.Meta)
+// rebuildStream turns a checkpoint and the journal tail applied after it
+// into a live managed stream: resolve the policy, restore the snapshot,
+// replay the tail. Shared by startup recovery and transfer install.
+func (s *Server) rebuildStream(ck durable.Checkpoint, tail []durable.Record) (*managedStream, error) {
+	req := createRequestOf(ck.Meta)
 	if req.Policy == "" {
 		req.Policy = "variable"
 	}
 	fresh, err := samplerFactory(req)
 	if err != nil {
-		return fmt.Errorf("resolving policy: %w", err)
+		return nil, fmt.Errorf("resolving policy: %w", err)
 	}
 	s.mu.Lock()
 	rng := s.seeds.Split()
 	s.mu.Unlock()
 	sampler, err := fresh(rng)
 	if err != nil {
-		return fmt.Errorf("rebuilding sampler: %w", err)
+		return nil, fmt.Errorf("rebuilding sampler: %w", err)
 	}
-	if err := sampler.UnmarshalBinary(rec.Checkpoint.Snapshot); err != nil {
-		return fmt.Errorf("restoring snapshot: %w", err)
+	if err := sampler.UnmarshalBinary(ck.Snapshot); err != nil {
+		return nil, fmt.Errorf("restoring snapshot: %w", err)
 	}
+	next, dim, err := replayTail(sampler, tail, ck.Next, ck.Dim)
+	if err != nil {
+		return nil, err
+	}
+	ms := &managedStream{sampler: sampler, policy: req.Policy, lambda: req.Lambda,
+		createReq: req, fresh: fresh, next: next, dim: dim}
+	ms.lastCkptVer, _ = samplerVersion(sampler)
+	return ms, nil
+}
 
-	next, dim, err := replayTail(sampler, rec.Tail, rec.Checkpoint.Next, rec.Checkpoint.Dim)
+// attachCheckpoint anchors a stream's durable chain at seq: a checkpoint
+// of the stream's current state, and a fresh journal on top of it.
+func (s *Server) attachCheckpoint(name string, ms *managedStream, seq uint64) error {
+	blob, err := ms.sampler.MarshalBinary()
 	if err != nil {
 		return err
 	}
+	return s.durable.Attach(name, durable.Checkpoint{Seq: seq, Meta: durableMeta(name, ms.createReq),
+		Next: ms.next, Dim: ms.dim, Snapshot: blob})
+}
 
-	ms := &managedStream{
-		sampler:   sampler,
-		policy:    req.Policy,
-		lambda:    req.Lambda,
-		createReq: req,
-		fresh:     fresh,
-		next:      next,
-		dim:       dim,
+// adoptRecovered turns one recovered chain into a live managed stream and
+// rebaselines it with a fresh checkpoint above every on-disk sequence.
+func (s *Server) adoptRecovered(rec durable.Recovered) error {
+	name := rec.Checkpoint.Meta.Name
+	ms, err := s.rebuildStream(rec.Checkpoint, rec.Tail)
+	if err != nil {
+		return err
 	}
-	ver, _ := samplerVersion(sampler)
-	ms.lastCkptVer = ver
-
 	// Rebaseline: one fresh checkpoint above every sequence the disk holds
 	// (including corrupt newer generations), so the replayed state is
 	// durable again before the stream serves traffic.
-	blob, err := sampler.MarshalBinary()
-	if err != nil {
-		return fmt.Errorf("marshaling recovered sampler: %w", err)
-	}
-	ck := durable.Checkpoint{
-		Seq:      rec.MaxSeq + 1,
-		Meta:     durableMeta(name, req),
-		Next:     next,
-		Dim:      dim,
-		Snapshot: blob,
-	}
-	if err := s.durable.Attach(name, ck); err != nil {
+	if err := s.attachCheckpoint(name, ms, rec.MaxSeq+1); err != nil {
 		return fmt.Errorf("rebaselining: %w", err)
 	}
 
@@ -357,7 +350,7 @@ func (s *Server) adoptRecovered(rec durable.Recovered) error {
 	if _, exists := s.streams[name]; exists {
 		return fmt.Errorf("stream %q already registered", name)
 	}
-	if s.ingestWorkers > 0 && req.Policy != "timedecay" {
+	if s.ingestWorkers > 0 && ms.policy != "timedecay" {
 		s.startIngestShard(name, ms)
 	}
 	s.streams[name] = ms

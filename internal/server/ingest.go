@@ -48,7 +48,7 @@ func (s *Server) runIngestShard(name string, ms *managedStream) {
 			// Journaled under ms.mu so append order matches apply order
 			// and a concurrent checkpoint's journal cut (Rotate, also
 			// under ms.mu) cleanly separates pre- from post-snapshot ops.
-			s.appendJournal(name, journalOps(batch))
+			s.appendJournal(name, batch, nil)
 		}
 		ms.mu.Unlock()
 		// Model scoring runs on the worker inside the semaphore slot:

@@ -99,11 +99,16 @@ func TestMetricsScrapeRaceHammer(t *testing.T) {
 	// come back 201 (its shard then drained by Close) or 503 (refused by
 	// the readiness check) — never a leaked worker.
 	var lateCreated, lateRefused atomic.Int64
+	var lateStarted sync.WaitGroup
 	for c := 0; c < 2; c++ {
 		wg.Add(1)
+		lateStarted.Add(1)
 		go func(c int) {
 			defer wg.Done()
 			for i := 0; ; i++ {
+				if i == 1 {
+					lateStarted.Done()
+				}
 				select {
 				case <-stop:
 					return
@@ -123,6 +128,10 @@ func TestMetricsScrapeRaceHammer(t *testing.T) {
 		}(c)
 	}
 
+	// Close only once every late creator has issued a request, so the
+	// race below is exercised on every run rather than when the scheduler
+	// happens to start them before Close.
+	lateStarted.Wait()
 	srv.Close()
 	close(stop)
 	wg.Wait()

@@ -47,6 +47,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -561,21 +562,15 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "creating sampler: %v", err)
 		return
 	}
+	ms := &managedStream{sampler: sampler, policy: req.Policy, lambda: req.Lambda, createReq: req, fresh: fresh}
 	if s.durable != nil {
 		// A stream exists once its empty checkpoint is durable; a crash
 		// after the 201 must not forget the stream.
-		blob, err := sampler.MarshalBinary()
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, "checkpointing new stream: %v", err)
-			return
-		}
-		ck := durable.Checkpoint{Seq: 1, Meta: durableMeta(name, req), Snapshot: blob}
-		if err := s.durable.Attach(name, ck); err != nil {
+		if err := s.attachCheckpoint(name, ms, 1); err != nil {
 			httpError(w, http.StatusInternalServerError, "checkpointing new stream: %v", err)
 			return
 		}
 	}
-	ms := &managedStream{sampler: sampler, policy: req.Policy, lambda: req.Lambda, createReq: req, fresh: fresh}
 	if s.ingestWorkers > 0 && req.Policy != "timedecay" {
 		// Time-decay streams validate timestamps against the sampler
 		// clock, which only the synchronous path can observe coherently.
@@ -839,22 +834,26 @@ func (s *Server) handleIngestSync(w http.ResponseWriter, name string, ms *manage
 			clock = *ip.TS
 		}
 	}
-	var ops []durable.Op // applied ops, framed onto the journal below
-	if s.durable != nil {
-		ops = make([]durable.Op, 0, len(req.Points))
-	}
-	// batch holds the applied points for the model hook below; the
-	// arrival-indexed path builds it anyway for core.AddBatch.
+	// batch holds the applied points for the model hook and the journal;
+	// the arrival-indexed path builds it anyway for core.AddBatch. On the
+	// time-decay path ts records each point's explicit timestamp (NaN for
+	// none) for journal replay.
 	var batch []stream.Point
+	var ts []float64
 	if timed {
-		if ms.model.Load() != nil {
+		if ms.model.Load() != nil || s.durable != nil {
 			batch = make([]stream.Point, 0, len(req.Points))
+		}
+		if s.durable != nil {
+			ts = make([]float64, 0, len(req.Points))
 		}
 		for i, ip := range req.Points {
 			ms.next++
 			p := ingestPoint(ms.next, ip)
+			at := math.NaN()
 			if ip.TS != nil {
-				if err := td.AddAt(p, *ip.TS); err != nil {
+				at = *ip.TS
+				if err := td.AddAt(p, at); err != nil {
 					// Unreachable after prevalidation, but if a sampler
 					// ever rejects mid-batch, report how many points
 					// already applied so the client can resume rather
@@ -862,26 +861,20 @@ func (s *Server) handleIngestSync(w http.ResponseWriter, name string, ms *manage
 					ms.next--
 					ms.dim = dim
 					ms.snap.Invalidate()
-					s.appendJournal(name, ops)
+					s.appendJournal(name, batch, ts)
 					ms.mu.Unlock()
 					ms.qmu.Unlock()
 					httpErrorIngested(w, http.StatusBadRequest, i, "point %d: %v", i, err)
 					return
 				}
-				if ops != nil {
-					ops = append(ops, durable.Op{P: p, TS: *ip.TS, HasTS: true})
-				}
-				if batch != nil {
-					batch = append(batch, p)
-				}
-				continue
-			}
-			td.Add(p)
-			if ops != nil {
-				ops = append(ops, durable.Op{P: p})
+			} else {
+				td.Add(p)
 			}
 			if batch != nil {
 				batch = append(batch, p)
+			}
+			if ts != nil {
+				ts = append(ts, at)
 			}
 		}
 	} else {
@@ -893,11 +886,8 @@ func (s *Server) handleIngestSync(w http.ResponseWriter, name string, ms *manage
 			batch[i] = ingestPoint(ms.next, ip)
 		}
 		core.AddBatch(ms.sampler, batch)
-		if ops != nil {
-			ops = journalOps(batch)
-		}
 	}
-	s.appendJournal(name, ops)
+	s.appendJournal(name, batch, ts)
 	ms.dim = dim
 	processed := ms.sampler.Processed()
 	ms.snap.Invalidate()

@@ -87,44 +87,11 @@ func (s *Server) handleTransferPost(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "transfer: %v", err)
 		return
 	}
-	req := createRequestOf(tr.Checkpoint.Meta)
-	if req.Policy == "" {
-		req.Policy = "variable"
-	}
-	fresh, err := samplerFactory(req)
+	ms, err := s.rebuildStream(tr.Checkpoint, tr.Tail)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "transfer meta: %v", err)
+		httpError(w, http.StatusBadRequest, "transfer: %v", err)
 		return
 	}
-	s.mu.Lock()
-	rng := s.seeds.Split()
-	s.mu.Unlock()
-	sampler, err := fresh(rng)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "rebuilding sampler: %v", err)
-		return
-	}
-	if err := sampler.UnmarshalBinary(tr.Checkpoint.Snapshot); err != nil {
-		httpError(w, http.StatusBadRequest, "restoring snapshot: %v", err)
-		return
-	}
-	next, dim, err := replayTail(sampler, tr.Tail, tr.Checkpoint.Next, tr.Checkpoint.Dim)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "replaying tail: %v", err)
-		return
-	}
-
-	ms := &managedStream{
-		sampler:   sampler,
-		policy:    req.Policy,
-		lambda:    req.Lambda,
-		createReq: req,
-		fresh:     fresh,
-		next:      next,
-		dim:       dim,
-	}
-	ver, _ := samplerVersion(sampler)
-	ms.lastCkptVer = ver
 
 	s.mu.Lock()
 	// Same registration discipline as handleCreate: refuse during
@@ -142,32 +109,19 @@ func (s *Server) handleTransferPost(w http.ResponseWriter, r *http.Request) {
 	if s.durable != nil {
 		// The installed stream is durable from its first moment: one
 		// checkpoint holding the replayed state, above the shipped seq.
-		blob, merr := sampler.MarshalBinary()
-		if merr != nil {
-			s.mu.Unlock()
-			httpError(w, http.StatusInternalServerError, "checkpointing installed stream: %v", merr)
-			return
-		}
-		ck := durable.Checkpoint{
-			Seq:      tr.Checkpoint.Seq + 1,
-			Meta:     durableMeta(name, req),
-			Next:     next,
-			Dim:      dim,
-			Snapshot: blob,
-		}
-		if err := s.durable.Attach(name, ck); err != nil {
+		if err := s.attachCheckpoint(name, ms, tr.Checkpoint.Seq+1); err != nil {
 			s.mu.Unlock()
 			httpError(w, http.StatusInternalServerError, "checkpointing installed stream: %v", err)
 			return
 		}
 	}
-	if s.ingestWorkers > 0 && req.Policy != "timedecay" {
+	if s.ingestWorkers > 0 && ms.policy != "timedecay" {
 		s.startIngestShard(name, ms)
 	}
 	s.streams[name] = ms
 	s.mu.Unlock()
 
-	processed, size := sampler.Processed(), sampler.Len()
+	processed, size := ms.sampler.Processed(), ms.sampler.Len()
 	if s.log != nil {
 		s.log.Info("stream installed from transfer", "stream", name,
 			"processed", processed, "size", size, "tail_records", len(tr.Tail))

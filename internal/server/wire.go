@@ -96,7 +96,7 @@ func (s *Server) IngestFrame(f *wire.Frame) wire.Reply {
 	ms.mu.Lock()
 	core.AddBatch(ms.sampler, batch)
 	if s.durable != nil {
-		s.appendJournal(string(f.Name), journalOps(batch))
+		s.appendJournal(string(f.Name), batch, nil)
 	}
 	ms.next = next
 	ms.dim = dim
