@@ -76,6 +76,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench '^BenchmarkFailover' -benchtime 1x ./internal/federation
 	$(GO) test -run '^$$' -bench '^BenchmarkModels' -benchtime 1x ./internal/models
 	$(GO) test -run '^$$' -bench '^BenchmarkStoreAppend' -benchtime 1x ./internal/durable
+	$(GO) test -run '^$$' -bench '^BenchmarkBuildSnapshot' -benchtime 1x ./internal/core
 
 # fuzz-smoke runs the wire-frame and journal decoder fuzzers briefly: long
 # enough to exercise the mutation engine over the checked-in corpora,

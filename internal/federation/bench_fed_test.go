@@ -121,4 +121,92 @@ func BenchmarkFedQuery(b *testing.B) {
 			b.ReportMetric(float64(lats[len(lats)*99/100].Nanoseconds()), "p99-ns")
 		})
 	}
+	b.Run("replicated", benchFedQueryReplicated)
+}
+
+// benchFedQueryReplicated is the replicated shape of BenchmarkFedQuery: a
+// coordinator-managed stream with shards=2 and replicas=2 on two nodes,
+// ingested through the coordinator while it answers queries. Besides the
+// latency percentiles it reports "peer-calls/op", the peer requests one
+// query costs: shards in the steady state, shards×replicas when every
+// read falls back to asking all replicas.
+func benchFedQueryReplicated(b *testing.B) {
+	peers := make([]string, 2)
+	for i := range peers {
+		node := server.New(uint64(200 + i))
+		ts := httptest.NewServer(node)
+		defer node.Close()
+		defer ts.Close()
+		peers[i] = ts.URL
+	}
+	co, err := New(peers, Config{HealthInterval: time.Hour})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer co.Close()
+	co.Sweep(context.Background())
+	fed := httptest.NewServer(co)
+	defer fed.Close()
+	fc, err := client.New(fed.URL)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if status, body := fedDo(b, http.MethodPut, fed.URL+"/streams/s", createStreamRequest{
+		StreamConfig: client.StreamConfig{Policy: "variable", Lambda: 1e-4, Capacity: 1024},
+		Shards:       2, Replicas: 2,
+	}); status != http.StatusCreated {
+		b.Fatalf("create: status %d body %v", status, body)
+	}
+	if _, err := fc.Push("s", testPoints(5000)); err != nil {
+		b.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		batch := testPoints(64)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := fc.Push("s", batch); err != nil {
+				return
+			}
+		}
+	}()
+
+	peerCalls := func() (n uint64) {
+		for _, addr := range peers {
+			n += co.peerReqs.With(addr).Value()
+		}
+		return n
+	}
+	url := fed.URL + "/streams/s/query?type=average&h=2000"
+	lats := make([]time.Duration, 0, b.N)
+	calls0 := peerCalls()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		resp, err := http.Get(url)
+		if err != nil {
+			b.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			b.Fatalf("status %d", resp.StatusCode)
+		}
+		lats = append(lats, time.Since(start))
+	}
+	b.StopTimer()
+	calls := peerCalls() - calls0
+	close(stop)
+	wg.Wait()
+	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+	b.ReportMetric(float64(lats[len(lats)/2].Nanoseconds()), "p50-ns")
+	b.ReportMetric(float64(lats[len(lats)*99/100].Nanoseconds()), "p99-ns")
+	b.ReportMetric(float64(calls)/float64(b.N), "peer-calls/op")
 }

@@ -127,6 +127,7 @@ type Coordinator struct {
 	replicaWrites    *obs.CounterVec // biasedres_fed_replica_writes_total{peer}
 	replicaWriteErrs *obs.CounterVec // biasedres_fed_replica_write_errors_total{peer}
 	dedupDropped     *obs.Counter    // biasedres_fed_replica_dedup_dropped_total
+	readFallbacks    *obs.CounterVec // biasedres_fed_replica_read_fallbacks_total{reason}
 	migrStreams      *obs.Counter    // biasedres_fed_migration_streams_total
 	migrBytes        *obs.Counter    // biasedres_fed_migration_bytes_total
 	migrErrs         *obs.Counter    // biasedres_fed_migration_errors_total
@@ -194,6 +195,8 @@ func New(peers []string, cfg Config, opts ...Option) (*Coordinator, error) {
 		"Shard sub-batch writes that failed at each replica peer.", "peer")
 	co.dedupDropped = co.metrics.Counter("biasedres_fed_replica_dedup_dropped_total",
 		"Redundant replica responses discarded by per-shard max-position dedup.").With()
+	co.readFallbacks = co.metrics.Counter("biasedres_fed_replica_read_fallbacks_total",
+		"Shard reads that asked every replica instead of one vouched replica, by reason (stale, unvouched, error, silent).", "reason")
 	co.migrStreams = co.metrics.Counter("biasedres_fed_migration_streams_total",
 		"Streams shipped to a new placement by drain operations.").With()
 	co.migrBytes = co.metrics.Counter("biasedres_fed_migration_bytes_total",

@@ -20,12 +20,12 @@ import (
 // Shards round-robin sub-streams, and every shard is written to
 // Replication placement-chosen peers (internal/federation/placement.go).
 // The ingest fan-out acks once every shard landed on at least one
-// replica; reads gather each shard from its replicas concurrently and
-// keep exactly one response per shard — the most advanced by stream
-// position — so the merged Horvitz–Thompson estimate counts every point
-// exactly once no matter how many replicas answered. Killing any single
-// node (with Replication ≥ 2) therefore leaves queries whole:
-// partial:false, estimates unchanged.
+// replica. A read uses exactly one answer per shard (readShard), so the
+// merged Horvitz–Thompson estimate counts every point once: from a
+// single vouched replica in the steady state, else from the most
+// advanced replica by stream position. Killing any single node (with
+// Replication ≥ 2) therefore leaves queries whole: partial:false,
+// estimates unchanged.
 
 // fedStream is one coordinator-managed stream.
 type fedStream struct {
@@ -36,7 +36,53 @@ type fedStream struct {
 	cfg    client.StreamConfig
 	hasCfg bool // cfg known (created through this coordinator), enabling 404 backfill
 
+	// track has one entry per shard for streams created through this
+	// coordinator; adopted streams have none and read every replica.
+	track []shardTrack
+
 	rr atomic.Uint64 // round-robin cursor for shard assignment
+}
+
+// shardTrack is the write history single-replica reads are checked against.
+type shardTrack struct {
+	routed  atomic.Uint64   // points sent to the replicas, counted before the push
+	acked   atomic.Uint64   // points acknowledged, counted once every replica answered
+	vouched map[string]bool // replicas holding every acknowledged write; under fedStream.mu
+}
+
+// tracked returns the shard's write history, or nil when there is none.
+func (fs *fedStream) tracked(shard int) *shardTrack {
+	if shard < len(fs.track) {
+		return &fs.track[shard]
+	}
+	return nil
+}
+
+// unvouch drops, for good, every vouched replica of an acknowledged write
+// that is not in held.
+func (fs *fedStream) unvouch(tr *shardTrack, held map[string]bool) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	for addr := range tr.vouched {
+		if !held[addr] {
+			delete(tr.vouched, addr)
+		}
+	}
+}
+
+// pick returns the healthy vouched replica a single read goes to,
+// starting at the shard's rank in its placement (mod k) so the shards
+// spread over the nodes and each replica's snapshot cache stays warm.
+func (fs *fedStream) pick(tr *shardTrack, shard int, replicas []*peer) *peer {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	for i := range replicas {
+		p := replicas[(shard+i)%len(replicas)]
+		if tr.vouched[p.addr] && p.isHealthy() {
+			return p
+		}
+	}
+	return nil
 }
 
 func (fs *fedStream) config() (client.StreamConfig, bool) {
@@ -137,22 +183,27 @@ func (co *Coordinator) handleStreamCreate(w http.ResponseWriter, r *http.Request
 
 	// Create every shard replica; a shard whose every replica refused
 	// fails the create. An existing shard stream (409) counts as created —
-	// PUT converges.
+	// PUT converges — but only a fresh one is vouched for single reads.
 	var failed []string
+	track := make([]shardTrack, shards)
 	for shard := 0; shard < shards; shard++ {
 		outs := fanOut(r.Context(), co, co.placement(name, shard, replicas),
-			func(ctx context.Context, p *peer) (struct{}, error) {
+			func(ctx context.Context, p *peer) (bool, error) {
 				err := p.c.CreateStreamContext(ctx, shardStream(name, shard), req.StreamConfig)
 				var apiErr *client.APIError
 				if errors.As(err, &apiErr) && apiErr.StatusCode == http.StatusConflict {
-					err = nil
+					return false, nil
 				}
-				return struct{}{}, err
+				return err == nil, err
 			})
+		track[shard].vouched = map[string]bool{}
 		created := 0
 		for _, o := range outs {
 			if o.err == nil && !o.notFound {
 				created++
+				if o.val {
+					track[shard].vouched[o.addr] = true
+				}
 			}
 		}
 		if created == 0 {
@@ -165,7 +216,7 @@ func (co *Coordinator) handleStreamCreate(w http.ResponseWriter, r *http.Request
 		return
 	}
 
-	fs := &fedStream{shards: shards, replicas: replicas, cfg: req.StreamConfig, hasCfg: true}
+	fs := &fedStream{shards: shards, replicas: replicas, cfg: req.StreamConfig, hasCfg: true, track: track}
 	co.mu.Lock()
 	if _, exists := co.fstreams[name]; exists {
 		co.mu.Unlock()
@@ -266,24 +317,20 @@ func (co *Coordinator) ingestFed(ctx context.Context, name string, fs *fedStream
 }
 
 // ingestShard writes one shard's sub-batch to every healthy replica of
-// its placement. A replica that 404s (a backfilled node that has not
-// seen this stream yet) gets the stream created and the batch resent
-// once, when the coordinator knows the config.
+// its placement and waits for all of them. A replica that 404s (a
+// backfilled node that has not seen this stream yet) gets the stream
+// created and the batch resent once, when the coordinator knows the
+// config. Before the batch counts as acknowledged, every replica that
+// did not take it directly leaves the shard's vouched set.
 func (co *Coordinator) ingestShard(ctx context.Context, name string, fs *fedStream, shard int, sub []client.Point) error {
-	replicas := co.placement(name, shard, fs.replicas)
-	targets := make([]*peer, 0, len(replicas))
-	for _, p := range replicas {
-		if p.isHealthy() {
-			targets = append(targets, p)
-		}
+	tr := fs.tracked(shard)
+	if tr != nil {
+		tr.routed.Add(uint64(len(sub)))
 	}
-	if len(targets) == 0 {
-		// Placement is down per the health checker; try everyone anyway
-		// rather than dropping the batch on a stale health verdict.
-		targets = replicas
-	}
+	_, targets := co.replicaTargets(name, shard, fs.replicas)
 	ss := shardStream(name, shard)
 	acks := 0
+	held := map[string]bool{}
 	var firstErr error
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -292,6 +339,7 @@ func (co *Coordinator) ingestShard(ctx context.Context, name string, fs *fedStre
 		go func(p *peer) {
 			defer wg.Done()
 			err := co.pushReplica(ctx, p, ss, sub)
+			direct := err == nil
 			if err != nil {
 				var apiErr *client.APIError
 				if errors.As(err, &apiErr) && apiErr.StatusCode == http.StatusNotFound {
@@ -309,6 +357,7 @@ func (co *Coordinator) ingestShard(ctx context.Context, name string, fs *fedStre
 			defer mu.Unlock()
 			if err == nil {
 				acks++
+				held[p.addr] = direct
 				co.replicaWrites.With(p.addr).Inc()
 			} else {
 				co.replicaWriteErrs.With(p.addr).Inc()
@@ -325,7 +374,27 @@ func (co *Coordinator) ingestShard(ctx context.Context, name string, fs *fedStre
 		}
 		return fmt.Errorf("shard %s: no replica acknowledged the batch: %w", ss, firstErr)
 	}
+	if tr != nil {
+		fs.unvouch(tr, held)
+		tr.acked.Add(uint64(len(sub)))
+	}
 	return nil
+}
+
+// replicaTargets returns a shard's placement and its healthy members, or
+// the whole placement when none is healthy: trying everyone beats
+// dropping the call on a stale health verdict.
+func (co *Coordinator) replicaTargets(name string, shard, k int) (replicas, targets []*peer) {
+	replicas = co.placement(name, shard, k)
+	for _, p := range replicas {
+		if p.isHealthy() {
+			targets = append(targets, p)
+		}
+	}
+	if len(targets) == 0 {
+		targets = replicas
+	}
+	return replicas, targets
 }
 
 // pushReplica sends one sub-batch to a replica, preferring the binary
@@ -386,13 +455,15 @@ func (co *Coordinator) IngestFrame(f *wire.Frame) wire.Reply {
 	if !ok {
 		return wire.Errorf("stream %q is not a federated stream", name)
 	}
+	// One label backing per frame: the points' *int labels point into it.
 	pts := make([]client.Point, f.Count)
+	labels := make([]int, f.Count)
 	for i := 0; i < f.Count; i++ {
 		v, label, weight := f.Point(i)
 		pts[i] = client.Point{Values: v, Weight: weight}
 		if label >= 0 {
-			l := int(label)
-			pts[i].Label = &l
+			labels[i] = int(label)
+			pts[i].Label = &labels[i]
 		}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), co.cfg.PeerTimeout)
@@ -461,27 +532,42 @@ func fanOutFirst[T any](ctx context.Context, co *Coordinator, targets []*peer, c
 	return outs
 }
 
-// shardAccum gathers one shard's accumulator from its replicas and keeps
-// the single most advanced response (max stream position T): replicas
-// hold the same shard stream, so counting two of them would double every
-// Horvitz–Thompson term. Returns (nil, false, …) when no replica
-// answered, plus whether every answering replica 404'd.
-func (co *Coordinator) shardAccum(ctx context.Context, name string, fs *fedStream, shard int, h uint64, rect *query.Rect) (best *query.Accum, ok, absent bool) {
-	replicas := co.placement(name, shard, fs.replicas)
-	targets := make([]*peer, 0, len(replicas))
-	for _, p := range replicas {
-		if p.isHealthy() {
-			targets = append(targets, p)
+// readShard returns exactly one answer for a shard of a managed stream,
+// from the replica at addr; pos extracts an answer's stream position T.
+// It asks one vouched replica and keeps its answer when acked(read
+// start) ≤ T ≤ routed(answer time); otherwise it asks every replica and
+// keeps the most advanced answer by T (replicas hold the same shard, so
+// two answers would double every Horvitz–Thompson term). ok is false
+// when no replica answered; absent when every answer was a 404.
+func readShard[T any](ctx context.Context, co *Coordinator, name string, fs *fedStream, shard int,
+	call func(ctx context.Context, p *peer, ss string) (T, error), pos func(T) uint64) (best T, addr string, ok, absent bool) {
+	replicas, targets := co.replicaTargets(name, shard, fs.replicas)
+	ss := shardStream(name, shard)
+	ask := func(ctx context.Context, p *peer) (T, error) { return call(ctx, p, ss) }
+	reason := "unvouched"
+	if tr := fs.tracked(shard); tr != nil {
+		floor := tr.acked.Load()
+		if p := fs.pick(tr, shard, replicas); p != nil {
+			sctx, cancel := context.WithTimeout(ctx, co.cfg.HedgeDelay)
+			outs := fanOutFirst(sctx, co, []*peer{p}, ask)
+			silent := sctx.Err() != nil
+			cancel()
+			switch {
+			case len(outs) == 0 || (outs[0].err != nil && silent):
+				reason = "silent"
+				co.hedges.Inc()
+			case outs[0].err != nil || outs[0].notFound:
+				reason = "error"
+			case floor <= pos(outs[0].val) && pos(outs[0].val) <= tr.routed.Load():
+				return outs[0].val, p.addr, true, false
+			default:
+				reason = "stale"
+			}
 		}
 	}
-	if len(targets) == 0 {
-		targets = replicas
-	}
-	ss := shardStream(name, shard)
-	per := splitHorizon(h, fs.shards)
-	outs := fanOutFirst(ctx, co, targets, func(ctx context.Context, p *peer) (*query.Accum, error) {
-		return p.c.AccumContext(ctx, ss, per, rect)
-	})
+	co.readFallbacks.With(reason).Inc()
+
+	outs := fanOutFirst(ctx, co, targets, ask)
 	answered, notFound := 0, 0
 	for _, o := range outs {
 		switch {
@@ -489,150 +575,106 @@ func (co *Coordinator) shardAccum(ctx context.Context, name string, fs *fedStrea
 			notFound++
 		case o.err == nil:
 			answered++
-			if best == nil || o.val.T > best.T {
-				if best != nil {
-					co.dedupDropped.Inc()
-				}
-				best = o.val
-			} else {
+			if answered > 1 {
 				co.dedupDropped.Inc()
+			}
+			if answered == 1 || pos(o.val) > pos(best) {
+				best, addr = o.val, o.addr
 			}
 		}
 	}
-	return best, answered > 0, answered == 0 && notFound > 0 && notFound == len(outs)
+	return best, addr, answered > 0, answered == 0 && notFound > 0 && notFound == len(outs)
 }
 
-// managedQuery answers a federated query for a coordinator-managed
-// stream: one deduped accumulator per shard, merged exactly as the
-// legacy path merges per-node shards.
-func (co *Coordinator) managedQuery(w http.ResponseWriter, r *http.Request, name string, fs *fedStream, typ string, h uint64, rect *query.Rect) {
+// shardRead is one shard's readShard result.
+type shardRead[T any] struct {
+	val        T
+	addr       string
+	ok, absent bool
+}
+
+// readShards runs readShard on every shard concurrently and returns the
+// results plus how many shards answered. When no shard can contribute it
+// writes the 404 (absent everywhere) or 503 itself and returns nil.
+func readShards[T any](w http.ResponseWriter, r *http.Request, co *Coordinator, route, name string, fs *fedStream,
+	call func(ctx context.Context, p *peer, ss string) (T, error), pos func(T) uint64) ([]shardRead[T], int) {
 	start := time.Now()
-	co.fanouts.With("query").Inc()
-	type shardRes struct {
-		acc    *query.Accum
-		ok     bool
-		absent bool
-	}
-	results := make([]shardRes, fs.shards)
+	co.fanouts.With(route).Inc()
+	results := make([]shardRead[T], fs.shards)
 	var wg sync.WaitGroup
-	for shard := 0; shard < fs.shards; shard++ {
+	for shard := range results {
 		wg.Add(1)
-		go func(shard int) {
+		go func(res *shardRead[T], shard int) {
 			defer wg.Done()
-			acc, ok, absent := co.shardAccum(r.Context(), name, fs, shard, h, rect)
-			results[shard] = shardRes{acc, ok, absent}
-		}(shard)
+			res.val, res.addr, res.ok, res.absent = readShard(r.Context(), co, name, fs, shard, call, pos)
+		}(&results[shard], shard)
 	}
 	wg.Wait()
-	co.fanLat.With("query").Observe(time.Since(start).Seconds())
+	co.fanLat.With(route).Observe(time.Since(start).Seconds())
 
 	okShards, absentShards := 0, 0
-	merged := query.NewMergeAccum(h)
 	for _, res := range results {
 		if res.ok {
 			okShards++
-			merged.Merge(res.acc)
 		} else if res.absent {
 			absentShards++
 		}
 	}
-	if absentShards == fs.shards {
+	switch {
+	case absentShards == fs.shards:
 		httpError(w, http.StatusNotFound, "stream %q not found on any replica", name)
+	case okShards == 0:
+		httpError(w, http.StatusServiceUnavailable, "all %d shards of stream %q failed", fs.shards, name)
+	default:
+		return results, okShards
+	}
+	return nil, 0
+}
+
+// managedQuery answers a federated query for a coordinator-managed
+// stream: one accumulator per shard, merged exactly as the legacy path
+// merges per-node shards.
+func (co *Coordinator) managedQuery(w http.ResponseWriter, r *http.Request, name string, fs *fedStream, typ string, h uint64, rect *query.Rect) {
+	per := splitHorizon(h, fs.shards)
+	results, okShards := readShards(w, r, co, "query", name, fs,
+		func(ctx context.Context, p *peer, ss string) (*query.Accum, error) {
+			return p.c.AccumContext(ctx, ss, per, rect)
+		},
+		func(a *query.Accum) uint64 { return a.T })
+	if results == nil {
 		return
 	}
-	if okShards == 0 {
-		httpError(w, http.StatusServiceUnavailable,
-			"all %d shards of stream %q failed", fs.shards, name)
-		return
+	merged := query.NewMergeAccum(h)
+	for _, res := range results {
+		if res.ok {
+			merged.Merge(res.val)
+		}
 	}
 	co.writeMergedQuery(w, typ, merged, okShards, fs.shards)
 }
 
-// managedSample concatenates one deduped reservoir per shard.
+// managedSample concatenates one reservoir per shard.
 func (co *Coordinator) managedSample(w http.ResponseWriter, r *http.Request, name string, fs *fedStream) {
-	start := time.Now()
-	co.fanouts.With("sample").Inc()
-	type shardRes struct {
-		sample *client.Sample
-		addr   string
-		ok     bool
-		absent bool
+	results, okShards := readShards(w, r, co, "sample", name, fs,
+		func(ctx context.Context, p *peer, ss string) (*client.Sample, error) {
+			return p.c.SampleContext(ctx, ss)
+		},
+		func(s *client.Sample) uint64 { return s.T })
+	if results == nil {
+		return
 	}
-	results := make([]shardRes, fs.shards)
-	var wg sync.WaitGroup
-	for shard := 0; shard < fs.shards; shard++ {
-		wg.Add(1)
-		go func(shard int) {
-			defer wg.Done()
-			replicas := co.placement(name, shard, fs.replicas)
-			targets := make([]*peer, 0, len(replicas))
-			for _, p := range replicas {
-				if p.isHealthy() {
-					targets = append(targets, p)
-				}
-			}
-			if len(targets) == 0 {
-				targets = replicas
-			}
-			ss := shardStream(name, shard)
-			outs := fanOutFirst(r.Context(), co, targets, func(ctx context.Context, p *peer) (*client.Sample, error) {
-				return p.c.SampleContext(ctx, ss)
-			})
-			answered, notFound := 0, 0
-			var best *client.Sample
-			var bestAddr string
-			for _, o := range outs {
-				switch {
-				case o.notFound:
-					notFound++
-				case o.err == nil:
-					answered++
-					if best == nil || o.val.T > best.T {
-						if best != nil {
-							co.dedupDropped.Inc()
-						}
-						best, bestAddr = o.val, o.addr
-					} else {
-						co.dedupDropped.Inc()
-					}
-				}
-			}
-			results[shard] = shardRes{
-				sample: best, addr: bestAddr, ok: answered > 0,
-				absent: answered == 0 && notFound > 0 && notFound == len(outs),
-			}
-		}(shard)
-	}
-	wg.Wait()
-	co.fanLat.With("sample").Observe(time.Since(start).Seconds())
-
-	okShards, absentShards := 0, 0
 	var maxT uint64
 	points := []fedSamplePoint{}
 	for _, res := range results {
-		switch {
-		case res.ok:
-			okShards++
-			if res.sample.T > maxT {
-				maxT = res.sample.T
-			}
-			for _, sp := range res.sample.Points {
-				points = append(points, fedSamplePoint{
-					Index: sp.Index, Values: sp.Values, Label: sp.Label, Prob: sp.Prob, Origin: res.addr,
-				})
-			}
-		case res.absent:
-			absentShards++
+		if !res.ok {
+			continue
 		}
-	}
-	if absentShards == fs.shards {
-		httpError(w, http.StatusNotFound, "stream %q not found on any replica", name)
-		return
-	}
-	if okShards == 0 {
-		httpError(w, http.StatusServiceUnavailable,
-			"all %d shards of stream %q failed", fs.shards, name)
-		return
+		maxT = max(maxT, res.val.T)
+		for _, sp := range res.val.Points {
+			points = append(points, fedSamplePoint{
+				Index: sp.Index, Values: sp.Values, Label: sp.Label, Prob: sp.Prob, Origin: res.addr,
+			})
+		}
 	}
 	partial := okShards < fs.shards
 	if partial {

@@ -39,6 +39,9 @@ func AccumulateRange(snap *core.Snapshot, h uint64, dim int, rect *Rect) *Accum 
 		a.Sums = make([]float64, dim)
 	}
 	a.HasRange = rect != nil
+	// Labels in [-1, 63] find their class through dense[label+1] instead
+	// of a map lookup per point; other labels use the map alone.
+	var dense [65]*ClassAcc
 	t := snap.T
 	for i := range snap.Points {
 		p := &snap.Points[i]
@@ -62,13 +65,22 @@ func AccumulateRange(snap *core.Snapshot, h uint64, dim int, rect *Rect) *Accum 
 			a.RangeNum += w
 			a.RangeVar += (w - 1) / pr
 		}
-		ca := a.Classes[p.Label]
+		slot := uint(p.Label + 1)
+		var ca *ClassAcc
+		if slot < uint(len(dense)) {
+			ca = dense[slot]
+		} else {
+			ca = a.Classes[p.Label]
+		}
 		if ca == nil {
 			ca = &ClassAcc{}
 			if dim > 0 {
 				ca.Sums = make([]float64, dim)
 			}
 			a.Classes[p.Label] = ca
+			if slot < uint(len(dense)) {
+				dense[slot] = ca
+			}
 		}
 		ca.Count += w
 		ca.Var += (w - 1) / pr

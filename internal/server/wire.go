@@ -43,30 +43,33 @@ func (s *Server) IngestFrame(f *wire.Frame) wire.Reply {
 		ms.qmu.Unlock()
 		return wire.Errorf("frame has dim %d, stream has %d", f.Dim, dim)
 	}
-	// Explicit arrival indices must extend the stream's order: strictly
-	// increasing and past every index already assigned. Checked before
-	// anything is consumed so a rejected frame leaves no trace.
-	if f.Indices != nil {
-		prev := ms.next
+	// Explicit arrival indices are an idempotence check, not a second
+	// clock: they must continue the stream exactly (next+1, next+2, …),
+	// since the sampler's t counts arrivals and a resident indexed past t
+	// would carry p=0. Checked before anything is consumed so a rejected
+	// frame leaves no trace.
+	if len(f.Indices) > 0 {
+		switch first := f.Indices[0]; {
+		case first <= ms.next:
+			ms.qmu.Unlock()
+			return wire.Errorf("frame starts at index %d: replay of points the stream already holds (at %d)", first, ms.next)
+		case first > ms.next+1:
+			ms.qmu.Unlock()
+			return wire.Errorf("frame starts at index %d: gap after the stream's last index %d", first, ms.next)
+		}
 		for i, idx := range f.Indices {
-			if idx <= prev {
+			if idx != ms.next+1+uint64(i) {
 				ms.qmu.Unlock()
-				return wire.Errorf("index %d at point %d does not advance the stream (at %d)", idx, i, prev)
+				return wire.Errorf("index %d at point %d does not advance the stream by one", idx, i)
 			}
-			prev = idx
 		}
 	}
 
+	// Server-side sequencing (explicit indices, once checked, equal what
+	// it assigns): ms.next only commits on success, so a rejected frame
+	// consumes nothing.
 	batch := buildWireBatch(f)
-	next := ms.next
-	if f.Indices != nil {
-		next = f.Indices[len(f.Indices)-1]
-	} else {
-		// Server-side sequencing: indices are provisional until the batch
-		// is accepted; ms.next only commits on success, so a rejected
-		// frame consumes nothing.
-		next = sequenceWireBatch(batch, ms.next)
-	}
+	next := sequenceWireBatch(batch, ms.next)
 
 	_, timed := ms.sampler.(*core.TimeDecayReservoir)
 	if ms.shard != nil && !timed {
@@ -120,9 +123,6 @@ func buildWireBatch(f *wire.Frame) []stream.Point {
 	for i := range batch {
 		p := &batch[i]
 		p.Values = backing[i*f.Dim : (i+1)*f.Dim : (i+1)*f.Dim]
-		if f.Indices != nil {
-			p.Index = f.Indices[i]
-		}
 		p.Label = -1
 		if f.Labels != nil {
 			p.Label = int(f.Labels[i])
@@ -135,9 +135,9 @@ func buildWireBatch(f *wire.Frame) []stream.Point {
 	return batch
 }
 
-// sequenceWireBatch assigns server-side arrival indices when the frame
-// carried none. Split from buildWireBatch because ms.next must only
-// advance on success; callers invoke it just before committing.
+// sequenceWireBatch assigns the batch its arrival indices. Split from
+// buildWireBatch because ms.next must only advance on success; callers
+// invoke it just before committing.
 func sequenceWireBatch(batch []stream.Point, next uint64) uint64 {
 	for i := range batch {
 		next++

@@ -189,28 +189,50 @@ func TestWireIngestValidation(t *testing.T) {
 	}
 }
 
-// TestWireIngestExplicitIndices: a frame carrying indices advances the
-// cursor to its last index, and a replay of the same frame is refused —
-// the idempotence hook reconnecting clients rely on.
+// TestWireIngestExplicitIndices: a frame carrying indices is accepted
+// only when it continues the stream exactly. A replay and a gap are
+// refused with distinct errors and consume nothing, and the accepted
+// points are visible to the Horvitz–Thompson count: a frame that skipped
+// ahead would leave residents indexed past the sampler's t with p=0.
 func TestWireIngestExplicitIndices(t *testing.T) {
 	srv := New(1)
 	createOn(t, srv, "s", CreateRequest{Policy: "unbiased", Capacity: 32})
-	f := wireTestFrame(3, 1)
-	f.Name = []byte("s")
-	f.Indices = []uint64{10, 11, 12}
-	if r := srv.IngestFrame(f); r.Status != wire.StatusOK {
+	frame := func(idx ...uint64) *wire.Frame {
+		f := wireTestFrame(len(idx), 1)
+		f.Name = []byte("s")
+		f.Indices = idx
+		return f
+	}
+	if r := srv.IngestFrame(frame(10, 11, 12)); r.Status != wire.StatusError || !strings.Contains(r.Msg, "gap") {
+		t.Fatalf("frame skipping ahead of a fresh stream: reply %+v, want gap error", r)
+	}
+	if r := srv.IngestFrame(frame(1, 2, 3)); r.Status != wire.StatusOK {
 		t.Fatalf("indexed frame rejected: %+v", r)
 	}
-	if r := srv.IngestFrame(f); r.Status != wire.StatusError {
-		t.Fatalf("replayed frame accepted: %+v", r)
+	if r := srv.IngestFrame(frame(1, 2, 3)); r.Status != wire.StatusError || !strings.Contains(r.Msg, "replay") {
+		t.Fatalf("replayed frame: reply %+v, want replay error", r)
+	}
+	if r := srv.IngestFrame(frame(3, 4)); r.Status != wire.StatusError || !strings.Contains(r.Msg, "replay") {
+		t.Fatalf("overlapping frame: reply %+v, want replay error", r)
+	}
+	if r := srv.IngestFrame(frame(5, 6)); r.Status != wire.StatusError || !strings.Contains(r.Msg, "gap") {
+		t.Fatalf("frame leaving a gap: reply %+v, want gap error", r)
 	}
 	srv.mu.RLock()
 	ms := srv.streams["s"]
 	srv.mu.RUnlock()
 	ms.qmu.Lock()
-	defer ms.qmu.Unlock()
-	if ms.next != 12 {
-		t.Fatalf("next = %d, want 12", ms.next)
+	next := ms.next
+	ms.qmu.Unlock()
+	if next != 3 {
+		t.Fatalf("next = %d, want 3", next)
+	}
+
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	_, body := do(t, http.MethodGet, ts.URL+"/streams/s/query?type=count&h=0", nil)
+	if est, _ := body["estimate"].(float64); est != 3 {
+		t.Fatalf("HT count of the accepted frame = %v, want 3 (body %v)", est, body)
 	}
 }
 
